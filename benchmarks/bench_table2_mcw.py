@@ -2,8 +2,9 @@
 
 Benchmarks the MCW binary search on a reduced-scale proxy.  Absolute MCW
 values differ from the paper's VPR numbers (our switch box is the stricter
-disjoint pattern; see DESIGN.md §2.3) but the search procedure and the
-relative congestion ordering are the reproduced artifacts.
+disjoint pattern; see "Reproduction deviations" in docs/architecture.md)
+but the search procedure and the relative congestion ordering are the
+reproduced artifacts.
 """
 
 import pytest

@@ -2,9 +2,10 @@
 
 Benchmarks default to *reduced-scale* proxies of the Table II circuits so
 ``pytest benchmarks/ --benchmark-only`` completes in minutes; the full-scale
-reproduction is ``python -m repro.eval.run_all`` (see DESIGN.md §3 and
-EXPERIMENTS.md).  When a full-scale results cache exists under ``results/``
-the figure benches also report those numbers in ``extra_info``.
+reproduction is ``python -m repro.eval.run_all`` (see "Reproduction
+deviations" in docs/architecture.md).  When a full-scale results cache
+exists under ``results/`` the figure benches also report those numbers in
+``extra_info``.
 """
 
 from __future__ import annotations

@@ -5,13 +5,19 @@ perimeter sub-sites — minimizing the classic half-perimeter wirelength
 (HPWL) objective with the adaptive VPR annealing schedule: the temperature
 multiplier and the move-range window both react to the acceptance rate.
 
+Move costs are incremental (VPR's bounding-box update): every net keeps
+its extent plus how many pins sit on each edge, so moving a block updates
+each of its nets in O(1) and only a pin leaving an edge it held alone forces
+a rescan of that net.  Net costs are integers, so the result is bit-identical
+to recomputing every touched net from scratch.
+
 The placer is deterministic for a given (design, fabric, seed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.arch.fabric import FabricArch
 from repro.cad.pack import PackedDesign
@@ -19,6 +25,89 @@ from repro.errors import PlacementError
 from repro.utils.rng import make_rng
 
 Site = Tuple[int, int, int]  # (x, y, sub-site)
+
+#: A net's bounding box: ``[xmin, xmax, ymin, ymax]`` followed by the number
+#: of pins on each of those four edges (a site counts once per pin it holds).
+BBox = List[int]
+
+
+def _bbox(sites: Iterable[Site]) -> BBox:
+    """From-scratch bounding box and edge pin counts of a net's pin sites."""
+    it = iter(sites)
+    xmin, ymin, _ = next(it)
+    xmax, ymax = xmin, ymin
+    nxmin = nxmax = nymin = nymax = 1
+    for x, y, _ in it:
+        if x < xmin:
+            xmin, nxmin = x, 1
+        elif x == xmin:
+            nxmin += 1
+        if x > xmax:
+            xmax, nxmax = x, 1
+        elif x == xmax:
+            nxmax += 1
+        if y < ymin:
+            ymin, nymin = y, 1
+        elif y == ymin:
+            nymin += 1
+        if y > ymax:
+            ymax, nymax = y, 1
+        elif y == ymax:
+            nymax += 1
+    return [xmin, xmax, ymin, ymax, nxmin, nxmax, nymin, nymax]
+
+
+def _shifted(
+    bb: BBox, k: int, x0: int, y0: int, x1: int, y1: int
+) -> Optional[BBox]:
+    """``bb`` after ``k`` pins move from (x0, y0) to (x1, y1).
+
+    Returns None when the move takes the last pins off an edge: the new
+    extent on that side is unknown without a scan.
+    """
+    bb = bb[:]
+    if x1 < x0:
+        if x0 == bb[1]:
+            if bb[5] == k:
+                return None
+            bb[5] -= k
+        if x1 < bb[0]:
+            bb[0], bb[4] = x1, k
+        elif x1 == bb[0]:
+            bb[4] += k
+    elif x1 > x0:
+        if x0 == bb[0]:
+            if bb[4] == k:
+                return None
+            bb[4] -= k
+        if x1 > bb[1]:
+            bb[1], bb[5] = x1, k
+        elif x1 == bb[1]:
+            bb[5] += k
+    if y1 < y0:
+        if y0 == bb[3]:
+            if bb[7] == k:
+                return None
+            bb[7] -= k
+        if y1 < bb[2]:
+            bb[2], bb[6] = y1, k
+        elif y1 == bb[2]:
+            bb[6] += k
+    elif y1 > y0:
+        if y0 == bb[2]:
+            if bb[6] == k:
+                return None
+            bb[6] -= k
+        if y1 > bb[3]:
+            bb[3], bb[7] = y1, k
+        elif y1 == bb[3]:
+            bb[7] += k
+    return bb
+
+
+def _bbox_cost(bb: BBox) -> int:
+    """Half-perimeter wirelength of a bounding box."""
+    return bb[1] - bb[0] + bb[3] - bb[2]
 
 
 @dataclass
@@ -45,13 +134,8 @@ class Placement:
         """Total half-perimeter wirelength over all nets."""
         total = 0.0
         for use in self.design.nets.values():
-            xs: List[int] = []
-            ys: List[int] = []
-            for inst, _port in [use.driver] + use.sinks:
-                x, y, _ = self.locations[inst]
-                xs.append(x)
-                ys.append(y)
-            total += (max(xs) - min(xs)) + (max(ys) - min(ys))
+            pins = [use.driver] + use.sinks
+            total += _bbox_cost(_bbox(self.locations[i] for i, _ in pins))
         return total
 
 
@@ -88,33 +172,37 @@ class _Annealer:
         ]
         self.is_pad: Dict[str, bool] = {c.name: False for c in design.clbs}
         self.is_pad.update({p.name: True for p in design.pads})
+        self.clb_cells = {(x, y) for x, y, _ in self.clb_sites}
 
-        # Nets indexed for incremental cost evaluation.
+        # Nets indexed for incremental cost evaluation: ``nets_of`` maps an
+        # instance to {net index: pins it holds on that net}.
         self.nets = list(design.nets.values())
-        self.nets_of: Dict[str, List[int]] = {name: [] for name in self.insts}
+        self.nets_of: Dict[str, Dict[int, int]] = {n: {} for n in self.insts}
         self.net_pins: List[List[str]] = []
         for ni, use in enumerate(self.nets):
             pins = [use.driver[0]] + [s[0] for s in use.sinks]
             self.net_pins.append(pins)
-            for inst in set(pins):
-                self.nets_of[inst].append(ni)
+            for inst in pins:
+                held = self.nets_of[inst]
+                held[ni] = held.get(ni, 0) + 1
 
         self.loc: Dict[str, Site] = {}
         self.occupant: Dict[Site, Optional[str]] = {}
+        # Per-net bounding boxes and costs, set by ``_initial_place``.
+        self.bb: List[BBox] = []
+        self.net_cost: List[int] = []
+        self.cost = 0.0
 
     # -- cost ----------------------------------------------------------------------
 
-    def _net_hpwl(self, ni: int) -> float:
-        xs: List[int] = []
-        ys: List[int] = []
-        for inst in self.net_pins[ni]:
-            x, y, _ = self.loc[inst]
-            xs.append(x)
-            ys.append(y)
-        return float((max(xs) - min(xs)) + (max(ys) - min(ys)))
+    def _scan(self, ni: int) -> BBox:
+        """Net ``ni``'s bounding box recomputed from the current locations."""
+        return _bbox(map(self.loc.__getitem__, self.net_pins[ni]))
 
     def total_cost(self) -> float:
-        return sum(self._net_hpwl(ni) for ni in range(len(self.nets)))
+        """The placement's cost recomputed from scratch over every net."""
+        nets = range(len(self.nets))
+        return float(sum(_bbox_cost(self._scan(ni)) for ni in nets))
 
     # -- moves ---------------------------------------------------------------------
 
@@ -131,6 +219,9 @@ class _Annealer:
         for pad, site in zip(self.design.pads, pad_sites):
             self.loc[pad.name] = site
             self.occupant[site] = pad.name
+        self.bb = [self._scan(ni) for ni in range(len(self.nets))]
+        self.net_cost = [_bbox_cost(bb) for bb in self.bb]
+        self.cost = float(sum(self.net_cost))
 
     def _candidate_site(self, inst: str, rlim: float) -> Site:
         """A random same-type site within the ``rlim`` window of ``inst``."""
@@ -144,7 +235,7 @@ class _Annealer:
             for _attempt in range(4):
                 x = min(max(x0 + self.rng.randint(-r, r), lo_x), hi_x)
                 y = min(max(y0 + self.rng.randint(-r, r), lo_y), hi_y)
-                if self.fabric.type_name_at(x, y) == "clb":
+                if (x, y) in self.clb_cells:
                     return (x, y, 0)
             pool = self.clb_sites
             return pool[self.rng.randrange(len(pool))]
@@ -156,14 +247,6 @@ class _Annealer:
             if abs(site[0] - x0) <= r and abs(site[1] - y0) <= r:
                 return site
         return pool[self.rng.randrange(len(pool))]
-
-    def _delta_cost(self, moved: List[str]) -> Tuple[float, List[int], List[float]]:
-        touched: List[int] = sorted(
-            {ni for inst in moved for ni in self.nets_of[inst]}
-        )
-        new_vals = [self._net_hpwl(ni) for ni in touched]
-        delta = sum(new_vals) - sum(self.net_cost[ni] for ni in touched)
-        return delta, touched, new_vals
 
     def _try_move(self, temperature: float, rlim: float) -> bool:
         inst = self.insts[self.rng.randrange(len(self.insts))]
@@ -177,19 +260,45 @@ class _Annealer:
         self.loc[inst] = new_site
         self.occupant[new_site] = inst
         self.occupant[old_site] = other
-        moved = [inst]
         if other is not None:
             self.loc[other] = old_site
-            moved.append(other)
 
-        delta, touched, new_vals = self._delta_cost(moved)
+        # New bounding boxes of the touched nets, committed only on accept.
+        x0, y0, _ = old_site
+        x1, y1, _ = new_site
+        bbs = self.bb
+        net_cost = self.net_cost
+        mine = self.nets_of[inst]
+        theirs = self.nets_of[other] if other is not None else {}
+        updates: List[Tuple[int, BBox, int]] = []
+        delta = 0
+        for ni, k in mine.items():
+            k_other = theirs.get(ni)
+            if k_other is None:
+                bb = _shifted(bbs[ni], k, x0, y0, x1, y1) or self._scan(ni)
+            elif k_other == k:
+                continue  # the swap leaves the net's pin positions as they were
+            else:
+                bb = self._scan(ni)
+            c = bb[1] - bb[0] + bb[3] - bb[2]
+            delta += c - net_cost[ni]
+            updates.append((ni, bb, c))
+        for ni, k in theirs.items():
+            if ni in mine:
+                continue
+            bb = _shifted(bbs[ni], k, x1, y1, x0, y0) or self._scan(ni)
+            c = bb[1] - bb[0] + bb[3] - bb[2]
+            delta += c - net_cost[ni]
+            updates.append((ni, bb, c))
+
         accept = delta <= 0 or (
             temperature > 0
             and self.rng.random() < pow(2.718281828, -delta / temperature)
         )
         if accept:
-            for ni, val in zip(touched, new_vals):
-                self.net_cost[ni] = val
+            for ni, bb, c in updates:
+                bbs[ni] = bb
+                net_cost[ni] = c
             self.cost += delta
             return True
         # Revert.
@@ -204,10 +313,6 @@ class _Annealer:
 
     def anneal(self, inner_num: float, fast: bool) -> None:
         self._initial_place()
-        self.net_cost: List[float] = [
-            self._net_hpwl(ni) for ni in range(len(self.nets))
-        ]
-        self.cost = sum(self.net_cost)
 
         n_mov = len(self.insts)
         if n_mov <= 1 or not self.nets:
@@ -255,7 +360,11 @@ class _Annealer:
                 max(1.0, rlim * (1.0 - 0.44 + racc)),
                 float(max(self.fabric.width, self.fabric.height)),
             )
-            if temperature < exit_t_per_net * self.cost / max(1, len(self.nets)):
+            # A zero-cost placement is optimal; the relative exit test
+            # below could never pass for it.
+            if self.cost == 0 or (
+                temperature < exit_t_per_net * self.cost / max(1, len(self.nets))
+            ):
                 break
 
         # Final greedy pass (temperature 0).

@@ -165,6 +165,8 @@ class PathFinderRouter:
         hist_get = self._hist.get
         hist_fac, astar_fac = self.hist_fac, self.astar_fac
         per_cell, width = self._per_cell, self._width
+        x_lo, x_hi, y_lo, y_hi = bbox.x, bbox.x2, bbox.y, bbox.y2
+        heappush, heappop = heapq.heappush, heapq.heappop
 
         tree_nodes: List[int] = [source]
         tree_set = {source}
@@ -186,7 +188,7 @@ class PathFinderRouter:
             came: Dict[int, int] = {}
             heap: List[Tuple[float, float, int]] = []
             for node in tree_nodes:
-                x, y = self._node_xy(node)
+                y, x = divmod(node // per_cell, width)
                 h = astar_fac * (abs(x - sx) + abs(y - sy))
                 gbest[node] = 0.0
                 came[node] = -1
@@ -195,7 +197,7 @@ class PathFinderRouter:
 
             found = False
             while heap:
-                f, g, node = heapq.heappop(heap)
+                f, g, node = heappop(heap)
                 if node == sink:
                     found = True
                     break
@@ -208,9 +210,7 @@ class PathFinderRouter:
                     cell = nb // per_cell
                     by = cell // width
                     bx = cell - by * width
-                    if not (
-                        bbox.x <= bx < bbox.x2 and bbox.y <= by < bbox.y2
-                    ):
+                    if not (x_lo <= bx < x_hi and y_lo <= by < y_hi):
                         continue
                     # Congestion-aware node cost (capacity 1 everywhere).
                     over = occ_get(nb, 0)
@@ -224,7 +224,7 @@ class PathFinderRouter:
                     gbest[nb] = ng
                     came[nb] = node
                     h = astar_fac * (abs(bx - sx) + abs(by - sy))
-                    heapq.heappush(heap, (ng + h, ng, nb))
+                    heappush(heap, (ng + h, ng, nb))
 
             if not found:
                 return None

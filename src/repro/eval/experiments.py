@@ -4,15 +4,15 @@ Each runner produces plain dict rows (JSON-serializable) and caches them
 under a results directory, so the expensive CAD runs happen once; the
 pytest benchmarks and the ``run_all`` CLI both sit on top of these.
 
-Experiments (ids match DESIGN.md):
+Experiments (ids as in "Reproduction deviations" in docs/architecture.md):
 
 * E1 / Table II — benchmark characteristics with our recomputed MCW;
 * E2 / Figure 4 — raw vs Virtual Bit-Stream size at W = 20, cluster 1;
 * E3 / Figure 5 — VBS size and ratio across cluster sizes.
 
 A ``scale`` parameter (default 1.0) shrinks the proxy circuits uniformly —
-shape-preserving reduced runs for laptops and CI; EXPERIMENTS.md records
-which scale produced the published numbers.
+shape-preserving reduced runs for laptops and CI; 1.0 is the paper's
+size (docs/architecture.md, "Reproduction deviations").
 """
 
 from __future__ import annotations

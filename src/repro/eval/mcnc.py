@@ -13,7 +13,8 @@ sources are not redistributable here, so each circuit is reproduced as a
   MCW column, so circuits the paper found congested stay congested.
 
 All quantities that come from the paper are kept exact; all approximations
-are one-line formulas documented here and in DESIGN.md.
+are one-line formulas documented here and in docs/architecture.md
+("Reproduction deviations").
 """
 
 from __future__ import annotations

@@ -19,13 +19,14 @@ Payload layout (all fields big-endian unsigned, sizes per Table I)::
 with ``M = ceil(log2(4cW + c^2 L + 1))`` (Section II-B; M = 5 for the
 paper's W = 5, L = 7 single-macro example).
 
-Deviations from Table I, both documented in DESIGN.md: the route-count
-field precedes the logic data so the raw-fallback escape (all-ones
-sentinel, Section III-B's "raw coding ... instead of the smart connection
-list") is decodable, and a fixed 63-bit container prelude carries the
-architecture parameters and task dimensions so a VBS file is
-self-describing.  ``size_bits`` everywhere reports the Table I payload
-accounting used in the paper's figures, excluding the prelude.
+Deviations from Table I (see "Reproduction deviations" in
+docs/architecture.md): the route-count field precedes the logic data so
+the raw-fallback escape (all-ones sentinel, Section III-B's "raw coding
+... instead of the smart connection list") is decodable, and a fixed
+63-bit container prelude carries the architecture parameters and task
+dimensions so a VBS file is self-describing.  ``size_bits`` everywhere
+reports the Table I payload accounting used in the paper's figures,
+excluding the prelude.
 
 Since container VERSION 2 every cluster record carries an explicit
 ``CODEC_TAG_BITS``-bit codec tag after its position fields, and the record
