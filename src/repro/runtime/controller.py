@@ -1,11 +1,12 @@
 """The run-time reconfiguration controller (Section II-C, Figure 2).
 
 The controller owns the fabric's configuration layer.  It fetches task
-images from external memory, de-virtualizes Virtual Bit-Streams at the
-requested position ("decoded and finalized in real-time and at run-time
-... to be placed at a given physical location"), writes the expanded
-frames, tracks which region every task occupies, and supports unloading
-and migration (re-decoding the same VBS at a new origin).
+images from external memory, de-virtualizes Virtual Bit-Streams at
+origin (0, 0) and writes the expanded frames at the requested position
+("decoded and finalized in real-time and at run-time ... to be placed at
+a given physical location"), tracks which region every task occupies,
+and supports unloading and migration (writing the same VBS expansion at
+a new origin).
 
 All operations return cycle costs from :mod:`repro.runtime.costmodel`, so
 experiments can compare raw-versus-VBS load latency and decoder
@@ -13,8 +14,10 @@ parallelism.
 
 Repeated and relocated loads of the same image are served from an LRU
 :class:`~repro.runtime.costmodel.DecodeCache` (content-digest keyed,
-origin-independent entries) and skip the de-virtualization replay
-entirely; see ``docs/architecture.md`` for the cache contract.
+origin-independent entries): they skip the de-virtualization replay
+entirely and copy the cached expansion once, straight into the fabric
+configuration at the target offset; see ``docs/architecture.md`` for the
+cache contract.
 """
 
 from __future__ import annotations
@@ -25,13 +28,14 @@ from typing import Dict, Optional, Sequence, Tuple, TYPE_CHECKING
 from repro.arch.fabric import FabricArch
 from repro.bitstream.config import FabricConfig
 from repro.bitstream.raw import RawBitstream
-from repro.errors import RuntimeManagementError
+from repro.errors import BitstreamError, RuntimeManagementError
 from repro.runtime.costmodel import (
     CachedDecode,
     CostParams,
     DecodeCache,
     LoadCost,
     decode_cost,
+    shared_dict_digest,
     write_cost,
 )
 from repro.runtime.memory import ExternalMemory, StoredImage
@@ -119,6 +123,8 @@ class ReconfigurationController:
         #: tables released when their last referencing task unloaded.
         self.shared_dict_faults = 0
         self.shared_dict_drops = 0
+        #: ``dict_id -> (table, digest)``: the cache validator's memo.
+        self._table_digests: Dict[int, Tuple[tuple, str]] = {}
 
     # -- placement bookkeeping ----------------------------------------------------
 
@@ -151,20 +157,53 @@ class ReconfigurationController:
 
     # -- configuration writes --------------------------------------------------------
 
-    def _write_config(self, task_config: FabricConfig) -> int:
-        region = task_config.region
-        for (x, y), logic in task_config.logic.items():
-            self.config.set_logic(x, y, logic.copy())
-        for (x, y), closed in task_config.closed.items():
-            if closed:
-                self.config.close_switches(x, y, closed)
+    def _write_config(self, task_config: FabricConfig, dx: int, dy: int) -> int:
+        """Write ``task_config`` translated by (dx, dy); return bits written.
+
+        Everything is validated before the first mutation, so a write
+        that raises leaves the fabric configuration untouched:
+        ``task_config`` must describe the fabric's architecture, the
+        translated region must lie inside the fabric and every logic
+        entry must be NLB bits wide.  Cell coordinates and switch offsets
+        are not re-checked per cell — a ``FabricConfig`` is validated
+        where it enters the controller (the checked setters of
+        ``decode_vbs`` and ``RawBitstream.to_config``, which bound them
+        by the config's own architecture, or ``DecodeCache.load`` for
+        restored entries), so the architecture check is what bounds them
+        by the fabric's.  Each cell gets its own copy, so the fabric
+        never aliases a cached expansion.
+        """
+        if task_config.params != self.fabric.params:
+            raise BitstreamError(
+                f"task configuration is for {task_config.params}, not the "
+                f"fabric's {self.fabric.params}"
+            )
+        region = task_config.region.translated(dx, dy)
+        if not self.config.region.contains_rect(region):
+            raise BitstreamError(
+                f"task region {region} outside fabric {self.config.region}"
+            )
+        nlb = self.fabric.params.nlb
+        for bits in task_config.logic.values():
+            if len(bits) != nlb:
+                raise BitstreamError(
+                    f"logic data must be {nlb} bits, got {len(bits)}"
+                )
+        logic, closed = self.config.logic, self.config.closed
+        for (x, y), bits in task_config.logic.items():
+            logic[x + dx, y + dy] = bits.copy()
+        for (x, y), switches in task_config.closed.items():
+            if switches:
+                closed[x + dx, y + dy] = set(switches)
         # Every frame of the region is written, occupied or not (Eq. 1).
         return region.w * region.h * self.fabric.params.nraw
 
     def _clear_region(self, region: Rect) -> None:
-        for cell in region.cells():
-            self.config.logic.pop((cell.x, cell.y), None)
-            self.config.closed.pop((cell.x, cell.y), None)
+        logic, closed = self.config.logic, self.config.closed
+        for y in range(region.y, region.y2):
+            for x in range(region.x, region.x2):
+                logic.pop((x, y), None)
+                closed.pop((x, y), None)
 
     # -- shared dictionaries (VERSION 4 task tables) ------------------------------
 
@@ -220,16 +259,44 @@ class ReconfigurationController:
 
     # -- de-virtualization with caching ------------------------------------------
 
+    def _table_digest(self, dict_id: int, table: Tuple["BitArray", ...]) -> str:
+        """``shared_dict_digest(table)``, memoized per table object.
+
+        The memo holds the table itself, so the identity test cannot be
+        fooled by a recycled ``id``; a republished id is a new tuple and
+        is hashed afresh.
+        """
+        memo = self._table_digests.get(dict_id)
+        if memo is None or memo[0] is not table:
+            memo = (table, shared_dict_digest(table))
+            self._table_digests[dict_id] = memo
+        return memo[1]
+
+    def _entry_fresh(self, entry: CachedDecode) -> bool:
+        """Whether a cached shared-dict entry matches the published table."""
+        if entry.shared_dict_id is None:
+            return True
+        table = self.resolve_shared_dict(entry.shared_dict_id)
+        return (
+            table is not None
+            and self._table_digest(entry.shared_dict_id, table)
+            == entry.shared_dict_digest
+        )
+
     def _decode_image(
-        self, image: StoredImage, origin: Tuple[int, int]
+        self, image: StoredImage
     ) -> Tuple[FabricConfig, DecodeStats, bool, Optional[int]]:
-        """De-virtualize a VBS image at ``origin``, through the cache.
+        """De-virtualize a VBS image at origin (0, 0), through the cache.
 
         Returns ``(config, stats, cache_hit, shared_dict_id)``.  The
         cache stores the origin-(0, 0) expansion — position abstraction
-        makes one entry serve every placement — so a hit performs only a
-        translation copy and zero router work (the entry remembers the
-        shared-dictionary id so refcounting works without re-parsing).
+        makes one entry serve every placement — and ``_write_config``
+        writes it at the target offset, so a hit does zero router work
+        and no translation (the entry remembers the shared-dictionary id
+        so refcounting works without re-parsing).  The returned config
+        may be the cached one: callers must only read it.  The container
+        is parsed against the fabric's architecture, so a prelude that
+        declares another channel width or LUT size fails loudly.
 
         A shared-dict entry is validated against the *currently
         published* table before it is served: the container bytes digest
@@ -238,57 +305,37 @@ class ReconfigurationController:
         cache).  A stale or unresolvable entry counts as a miss and is
         re-decoded.
         """
-        from repro.runtime.costmodel import shared_dict_digest
-
-        def _entry_fresh(entry: CachedDecode) -> bool:
-            if entry.shared_dict_id is None:
-                return True
-            table = self.resolve_shared_dict(entry.shared_dict_id)
-            return (
-                table is not None
-                and shared_dict_digest(table) == entry.shared_dict_digest
-            )
-
-        if self.decode_cache is None:
-            vbs = VirtualBitstream.from_bits(
-                image.bits, shared_dicts=self.resolve_shared_dict
-            )
-            config, stats = decode_vbs(
-                vbs, origin=origin, memo=self.decode_memo
-            )
-            return config, stats, False, vbs.layout.shared_dict_id
-        key = DecodeCache.key_for(image)
-        entry = self.decode_cache.get(key, validator=_entry_fresh)
-        if entry is not None:
-            return (
-                entry.config_at(origin), entry.stats, True,
-                entry.shared_dict_id,
-            )
+        if self.decode_cache is not None:
+            key = DecodeCache.key_for(image)
+            entry = self.decode_cache.get(key, validator=self._entry_fresh)
+            if entry is not None:
+                return entry.config, entry.stats, True, entry.shared_dict_id
         vbs = VirtualBitstream.from_bits(
-            image.bits, shared_dicts=self.resolve_shared_dict
+            image.bits,
+            params=self.fabric.params,
+            shared_dicts=self.resolve_shared_dict,
         )
-        base, stats = decode_vbs(vbs, origin=(0, 0), memo=self.decode_memo)
-        entry = CachedDecode(
-            config=base,
-            stats=stats,
-            codec_tags=tuple(sorted(vbs.codec_tags())),
-            layout=(
-                vbs.layout.width,
-                vbs.layout.height,
-                vbs.layout.cluster_size,
-                vbs.layout.compact_logic,
-            ),
-            shared_dict_id=vbs.layout.shared_dict_id,
-            shared_dict_digest=(
-                shared_dict_digest(vbs.layout.dict_table)
-                if vbs.layout.shared_dict_id is not None
-                else None
-            ),
-        )
-        self.decode_cache.put(key, entry)
-        # Translate a copy even for origin (0, 0): the cached expansion
-        # must never alias the configuration being written to the fabric.
-        return entry.config_at(origin), stats, False, vbs.layout.shared_dict_id
+        base, stats = decode_vbs(vbs, memo=self.decode_memo)
+        dict_id = vbs.layout.shared_dict_id
+        if self.decode_cache is not None:
+            self.decode_cache.put(key, CachedDecode(
+                config=base,
+                stats=stats,
+                codec_tags=tuple(sorted(vbs.codec_tags())),
+                layout=(
+                    vbs.layout.width,
+                    vbs.layout.height,
+                    vbs.layout.cluster_size,
+                    vbs.layout.compact_logic,
+                ),
+                shared_dict_id=dict_id,
+                shared_dict_digest=(
+                    shared_dict_digest(vbs.layout.dict_table)
+                    if dict_id is not None
+                    else None
+                ),
+            ))
+        return base, stats, False, dict_id
 
     # -- task lifecycle ---------------------------------------------------------------
 
@@ -305,7 +352,7 @@ class ReconfigurationController:
         shared_dict_id: Optional[int] = None
         if image.kind == "vbs":
             task_config, stats, cost.cache_hit, shared_dict_id = (
-                self._decode_image(image, origin)
+                self._decode_image(image)
             )
             if not cost.cache_hit:
                 cost.decode_cycles, cost.per_unit_cycles = decode_cost(
@@ -315,13 +362,29 @@ class ReconfigurationController:
             raw = RawBitstream(
                 self.fabric.params, image.width, image.height, image.bits
             )
-            task_config = raw.to_config(origin)
+            task_config = raw.to_config()
+        if (task_config.region.w, task_config.region.h) != (
+            region.w, region.h
+        ):
+            # The claim covered the declared size; a larger container
+            # would write onto cells another task may own.
+            raise RuntimeManagementError(
+                f"task {name}: image declares {region.w}x{region.h} "
+                f"macros but decodes to "
+                f"{task_config.region.w}x{task_config.region.h}"
+            )
         # Retain the shared table *before* any fabric/resident mutation:
         # a cache-hit load whose table has left external memory must fail
         # cleanly, not leave a half-registered task behind.
         if shared_dict_id is not None:
             self._retain_shared_dict(shared_dict_id)
-        bits_written = self._write_config(task_config)
+        try:
+            bits_written = self._write_config(task_config, *origin)
+        except BitstreamError:
+            # The write changed nothing; neither may the failed load.
+            if shared_dict_id is not None:
+                self._release_shared_dict(shared_dict_id)
+            raise
         cost.write_cycles = write_cost(bits_written, self.cost_params)
 
         task = ResidentTask(

@@ -38,11 +38,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
+from repro.bitstream.config import FabricConfig
 from repro.errors import RuntimeManagementError
+from repro.utils.bitarray import BitArray
+from repro.utils.geometry import Rect
 from repro.vbs.decode import DecodeStats
 
 if TYPE_CHECKING:
-    from repro.bitstream.config import FabricConfig
+    from repro.arch.params import ArchParams
     from repro.runtime.memory import StoredImage
 
 
@@ -109,8 +112,9 @@ class CachedDecode:
     """One cached de-virtualization: origin-independent expansion + stats.
 
     ``config`` is decoded at origin (0, 0); position abstraction makes it
-    valid for every placement of the task — consumers translate a copy to
-    the target origin.  ``codec_tags`` and ``layout`` record which codings
+    valid for every placement of the task — the controller copies it
+    straight into the fabric configuration at the target offset, and
+    never mutates it.  ``codec_tags`` and ``layout`` record which codings
     and coding geometry produced the entry (cache introspection; the
     digest key already pins them).
     """
@@ -129,10 +133,6 @@ class CachedDecode:
     #: validates hits against the currently-published table so a
     #: republished id can never serve a stale expansion.
     shared_dict_digest: Optional[str] = None
-
-    def config_at(self, origin: Tuple[int, int]) -> "FabricConfig":
-        """A translated copy of the cached expansion at ``origin``."""
-        return self.config.translated(origin[0], origin[1])
 
     @property
     def expanded_bytes(self) -> int:
@@ -175,12 +175,54 @@ def _entry_weight(entry: object) -> int:
     return weight if isinstance(weight, int) and weight > 0 else 0
 
 
+def _entry_well_formed(
+    key: CacheKey, entry: CachedDecode, params: "ArchParams"
+) -> bool:
+    """Whether ``entry`` is a structurally valid expansion for ``key``.
+
+    The expansion must cover exactly ``Rect(0, 0, w, h)`` of the key,
+    every logic and closed cell must lie inside it, logic entries must be
+    NLB-bit :class:`BitArray` s and switch offsets must lie in
+    ``[0, routing_bits)`` — what the checked ``FabricConfig`` setters
+    guarantee for a fresh decode — and the entry must have been decoded
+    for ``params``.
+    """
+    config = entry.config
+    if not isinstance(config, FabricConfig):
+        return False
+    if config.params != params:
+        return False
+    try:
+        region = Rect(0, 0, key[2], key[3])
+        if config.region != region:
+            return False
+        nlb = config.params.nlb
+        routing_bits = config.params.routing_bits
+        for (x, y), bits in config.logic.items():
+            if not (
+                region.contains(x, y)
+                and isinstance(bits, BitArray)
+                and len(bits) == nlb
+            ):
+                return False
+        for (x, y), switches in config.closed.items():
+            if not region.contains(x, y):
+                return False
+            if switches and not (
+                0 <= min(switches) and max(switches) < routing_bits
+            ):
+                return False
+    except (AttributeError, TypeError, ValueError):
+        return False
+    return True
+
+
 class DecodeCache:
     """LRU cache of de-virtualized task images.
 
     Repeated or relocated loads of the same image skip the
     :class:`~repro.vbs.devirt.ClusterDecoder` replay entirely: the cached
-    origin-(0,0) expansion is translated to the requested origin, so the
+    origin-(0,0) expansion is written at the requested origin, so the
     second load of a task costs zero decode cycles.  Keys are content
     digests, so re-publishing a changed image under the same name can
     never serve stale frames.
@@ -348,17 +390,21 @@ class DecodeCache:
             written += 1
         return written
 
-    def load(self, directory: "Path | str") -> int:
+    def load(self, directory: "Path | str", params: "ArchParams") -> int:
         """Restore persisted entries from ``directory``; returns count.
 
         Tolerant by construction: unreadable, truncated, wrongly-typed or
-        version-mismatched files are skipped.  Restored entries respect
-        both bounds (the budget invariant holds after a load) and do not
-        disturb the hit/miss counters — ``stats.restored`` and the return
-        value count only entries actually resident right after their own
-        insert (a file whose entry immediately falls over the budget is
-        not "restored").  Keys already resident are left untouched (the
-        live entry is at least as fresh).
+        version-mismatched files are skipped, and so are entries that
+        fail ``_entry_well_formed`` — the controller writes a cached
+        expansion without re-checking its cells, so a restored entry is
+        checked here, where it enters, against ``params`` (the loading
+        fabric's architecture).  Restored entries respect both bounds
+        (the budget invariant holds after a load) and do not disturb the
+        hit/miss counters — ``stats.restored`` and the return value count
+        only entries actually resident right after their own insert (a
+        file whose entry immediately falls over the budget is not
+        "restored").  Keys already resident are left untouched (the live
+        entry is at least as fresh).
         """
         directory = Path(directory)
         if not directory.is_dir():
@@ -381,7 +427,9 @@ class DecodeCache:
                 or not isinstance(entry, CachedDecode)
             ):
                 continue
-            if key in self._entries:
+            if key in self._entries or not _entry_well_formed(
+                key, entry, params
+            ):
                 continue
             self._insert(key, entry)
             if key in self._entries:  # survived the bounds

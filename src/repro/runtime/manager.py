@@ -36,44 +36,40 @@ class FabricManager:
 
     # -- free-region search ---------------------------------------------------------
 
-    def _candidate_origins(self, w: int, h: int) -> List[Tuple[int, int]]:
+    def _occupancy(self, ignore: Optional[str] = None) -> List[bytearray]:
+        """``grid[y][x]`` is 1 where a resident task other than ``ignore``
+        covers the cell, 0 where the cell is free."""
         fabric = self.controller.fabric
-        return [
-            (x, y)
-            for y in range(fabric.height - h + 1)
-            for x in range(fabric.width - w + 1)
-        ]
+        grid = [bytearray(fabric.width) for _ in range(fabric.height)]
+        for task in self.controller.resident.values():
+            if task.name != ignore:
+                box = task.region
+                for row in grid[box.y:box.y2]:
+                    row[box.x:box.x2] = b"\x01" * box.w
+        return grid
 
-    def _free_perimeter(
-        self, region: Rect, ignore: Optional[str] = None
-    ) -> int:
+    def _free_perimeter(self, region: Rect, grid: List[bytearray]) -> int:
         """Free cells on the one-cell ring around ``region``.
 
         The adjacency-aware best-fit score: cells of the surrounding ring
         that are outside the fabric or covered by a resident task count as
         *contact* (good — the placement hugs an edge or a neighbour);
         whatever remains is free perimeter whose fragmentation potential
-        best-fit minimizes.
+        best-fit minimizes.  ``grid`` is the ``_occupancy`` of the
+        resident set being scored against.
         """
-        bounds = self.controller.fabric.bounds
-        occupied = [
-            t.region
-            for t in self.controller.resident.values()
-            if t.name != ignore
-        ]
+        x, y, w, h = region.x, region.y, region.w, region.h
+        height, width = len(grid), len(grid[0])
         free = 0
-        ring = (
-            [(x, region.y - 1) for x in range(region.x, region.x2)]
-            + [(x, region.y2) for x in range(region.x, region.x2)]
-            + [(region.x - 1, y) for y in range(region.y, region.y2)]
-            + [(region.x2, y) for y in range(region.y, region.y2)]
-        )
-        for (x, y) in ring:
-            if not bounds.contains(x, y):
-                continue  # fabric edge: contact
-            if any(r.contains(x, y) for r in occupied):
-                continue  # neighbouring task: contact
-            free += 1
+        if y > 0:
+            free += grid[y - 1][x:x + w].count(0)
+        if y + h < height:
+            free += grid[y + h][x:x + w].count(0)
+        for row in grid[y:y + h]:
+            if x > 0 and not row[x - 1]:
+                free += 1
+            if x + w < width and not row[x + w]:
+                free += 1
         return free
 
     def find_origin(
@@ -89,18 +85,42 @@ class FabricManager:
         ``ignore`` excludes one resident task from collision and scoring —
         pass the migrating task's own name so it may slide into a region
         overlapping its current footprint.
+
+        The resident boxes are gathered once per call.  Row by row, a box
+        whose rows meet the candidate rows blocks the origins ``x`` with
+        ``box.x - w < x < box.x2``; the free origins of the row are the
+        gaps between those sorted intervals.
         """
+        fabric = self.controller.fabric
+        width, height = fabric.width, fabric.height
+        boxes = [
+            task.region
+            for task in self.controller.resident.values()
+            if task.name != ignore
+        ]
+        grid = self._occupancy(ignore) if self.strategy == BEST_FIT else None
         best: Optional[Tuple[int, int]] = None
         best_score: Optional[Tuple[int, int]] = None
-        for (x, y) in self._candidate_origins(w, h):
-            region = Rect(x, y, w, h)
-            if not self.controller.region_free(region, ignore=ignore):
-                continue
-            if self.strategy == FIRST_FIT:
-                return (x, y)
-            score = (self._free_perimeter(region, ignore=ignore), x + y)
-            if best_score is None or score < best_score:
-                best, best_score = (x, y), score
+        last_x = width - w
+        for y in range(height - h + 1):
+            blocked = sorted(
+                (box.x - w + 1, box.x2)
+                for box in boxes
+                if box.y < y + h and y < box.y2
+            )
+            blocked.append((last_x + 1, last_x + 1))
+            x = 0
+            for lo, hi in blocked:
+                for fx in range(x, min(lo, last_x + 1)):
+                    if grid is None:
+                        return (fx, y)
+                    score = (
+                        self._free_perimeter(Rect(fx, y, w, h), grid=grid),
+                        fx + y,
+                    )
+                    if best_score is None or score < best_score:
+                        best, best_score = (fx, y), score
+                x = max(x, hi)
         return best
 
     # -- high-level operations ----------------------------------------------------------

@@ -1093,7 +1093,9 @@ def run_scenario(
         shard_dir = _shard_cache_dir(index)
         if shard_dir is not None:
             if ctrl.decode_cache is not None:
-                restored += ctrl.decode_cache.load(shard_dir)
+                restored += ctrl.decode_cache.load(
+                    shard_dir, params=ctrl.fabric.params
+                )
             if ctrl.decode_memo is not None:
                 memo_restored += ctrl.decode_memo.load(
                     Path(shard_dir) / MEMO_FILE_NAME

@@ -53,8 +53,15 @@ def make_entry(w: int, h: int, fill: int = 0) -> CachedDecode:
     )
 
 
-def key_of(i: int):
-    return (f"digest{i}", "vbs", 1 + i % 3, 1 + i % 2)
+def key_of(i: int, w: "int | None" = None, h: "int | None" = None):
+    """Cache key ``i``; pass the entry's ``w x h`` where the key must
+    describe it (``DecodeCache.load`` skips entries whose expansion does
+    not cover exactly the key's rectangle)."""
+    return (
+        f"digest{i}", "vbs",
+        1 + i % 3 if w is None else w,
+        1 + i % 2 if h is None else h,
+    )
 
 
 #: One op: ("put", key index, width, height) or ("get", key index).
@@ -173,12 +180,12 @@ class TestCachePersistence:
     def test_roundtrip_is_lossless(self, puts):
         cache = DecodeCache(capacity=32)
         for i, w, h in puts:
-            cache.put(key_of(i), make_entry(w, h, fill=i))
+            cache.put(key_of(i, w, h), make_entry(w, h, fill=i))
         with tempfile.TemporaryDirectory() as tmp:
             written = cache.save(tmp)
             assert written == len(cache)
             fresh = DecodeCache(capacity=32)
-            loaded = fresh.load(tmp)
+            loaded = fresh.load(tmp, PARAMS)
             assert loaded == len(cache)
             assert set(fresh.keys()) == set(cache.keys())
             assert fresh.total_bytes == cache.total_bytes
@@ -192,17 +199,17 @@ class TestCachePersistence:
     def test_load_respects_byte_budget(self, tmp_path):
         cache = DecodeCache(capacity=8)
         for i in range(4):
-            cache.put(key_of(i), make_entry(3, 3, fill=i))
+            cache.put(key_of(i, 3, 3), make_entry(3, 3, fill=i))
         cache.save(tmp_path)
         one = make_entry(3, 3).expanded_bytes
         small = DecodeCache(capacity=None, capacity_bytes=2 * one)
-        small.load(tmp_path)
+        small.load(tmp_path, PARAMS)
         assert small.total_bytes <= 2 * one
         assert len(small) == 2
 
     def test_corrupt_and_foreign_files_skipped(self, tmp_path):
         cache = DecodeCache(capacity=8)
-        cache.put(key_of(1), make_entry(2, 2))
+        cache.put(key_of(1, 2, 2), make_entry(2, 2))
         cache.save(tmp_path)
         (tmp_path / "decode_deadbeef.pkl").write_bytes(b"\x80garbage")
         (tmp_path / "decode_short.pkl").write_bytes(b"")
@@ -215,8 +222,8 @@ class TestCachePersistence:
                           "entry": "not an entry"})
         )
         fresh = DecodeCache(capacity=8)
-        assert fresh.load(tmp_path) == 1
-        assert fresh.keys() == [key_of(1)]
+        assert fresh.load(tmp_path, PARAMS) == 1
+        assert fresh.keys() == [key_of(1, 2, 2)]
 
     def test_resident_key_wins_over_persisted(self, tmp_path):
         stale = DecodeCache(capacity=8)
@@ -225,9 +232,74 @@ class TestCachePersistence:
         live = DecodeCache(capacity=8)
         fresh_entry = make_entry(2, 2, fill=2)
         live.put(key_of(5), fresh_entry)
-        assert live.load(tmp_path) == 0
+        assert live.load(tmp_path, PARAMS) == 0
         assert live._entries[key_of(5)] is fresh_entry
 
     def test_load_missing_dir_is_noop(self, tmp_path):
         cache = DecodeCache(capacity=4)
-        assert cache.load(tmp_path / "nope") == 0
+        assert cache.load(tmp_path / "nope", PARAMS) == 0
+
+
+class TestRestoredEntryChecks:
+    """``DecodeCache.load`` skips structurally invalid entries.
+
+    The controller writes a cached expansion without re-checking its
+    cells, so each rule below is what keeps a poisoned file from writing
+    outside the claimed region or a malformed frame.  A skipped entry is
+    not counted in ``stats.restored``.
+    """
+
+    @staticmethod
+    def _restore(tmp_path, entry, key=None, params=PARAMS) -> DecodeCache:
+        key = key or key_of(0, entry.config.region.w, entry.config.region.h)
+        (tmp_path / "decode_poisoned.pkl").write_bytes(pickle.dumps(
+            {"format": CACHE_FILE_FORMAT, "key": key, "entry": entry}
+        ))
+        fresh = DecodeCache(capacity=8)
+        fresh.load(tmp_path, params=params)
+        return fresh
+
+    def test_well_formed_entry_restored(self, tmp_path):
+        fresh = self._restore(tmp_path, make_entry(3, 2))
+        assert len(fresh) == 1 and fresh.stats.restored == 1
+
+    def test_region_must_be_the_keys_rectangle(self, tmp_path):
+        wrong_size = self._restore(
+            tmp_path, make_entry(3, 2), key=key_of(0, 3, 3)
+        )
+        assert len(wrong_size) == 0 and wrong_size.stats.restored == 0
+        shifted = make_entry(3, 2)
+        shifted.config.region = Rect(1, 0, 3, 2)
+        fresh = self._restore(tmp_path, shifted, key=key_of(0, 3, 2))
+        assert len(fresh) == 0 and fresh.stats.restored == 0
+
+    def test_logic_cell_inside_region(self, tmp_path):
+        entry = make_entry(3, 2)
+        entry.config.logic[(5, 0)] = BitArray(PARAMS.nlb, 1)
+        fresh = self._restore(tmp_path, entry)
+        assert len(fresh) == 0 and fresh.stats.restored == 0
+
+    def test_closed_cell_inside_region(self, tmp_path):
+        entry = make_entry(3, 2)
+        entry.config.closed[(0, 2)] = {1}
+        fresh = self._restore(tmp_path, entry)
+        assert len(fresh) == 0 and fresh.stats.restored == 0
+
+    def test_logic_width_is_nlb(self, tmp_path):
+        entry = make_entry(3, 2)
+        entry.config.logic[(1, 1)] = BitArray(PARAMS.nlb + 1)
+        fresh = self._restore(tmp_path, entry)
+        assert len(fresh) == 0 and fresh.stats.restored == 0
+
+    def test_switch_offsets_in_routing_region(self, tmp_path):
+        for bad in (-1, PARAMS.routing_bits, 10**6):
+            entry = make_entry(3, 2)
+            entry.config.closed[(2, 1)] = {0, bad}
+            fresh = self._restore(tmp_path, entry)
+            assert len(fresh) == 0 and fresh.stats.restored == 0
+
+    def test_params_must_match(self, tmp_path):
+        fresh = self._restore(
+            tmp_path, make_entry(3, 2), params=ArchParams(channel_width=8)
+        )
+        assert len(fresh) == 0 and fresh.stats.restored == 0

@@ -273,8 +273,9 @@ class TestBestFit:
     def test_free_perimeter_scoring(self, params8):
         ctrl = self._controller_with_gap(params8)
         mgr = FabricManager(ctrl, strategy=BEST_FIT)
-        assert mgr._free_perimeter(Rect(5, 0, 3, 2)) == 0  # fully snug
-        assert mgr._free_perimeter(Rect(0, 0, 3, 2)) == 2  # open east side
+        grid = mgr._occupancy()
+        assert mgr._free_perimeter(Rect(5, 0, 3, 2), grid) == 0  # fully snug
+        assert mgr._free_perimeter(Rect(0, 0, 3, 2), grid) == 2  # open east
 
 
 class TestDecodeCache:
@@ -364,3 +365,142 @@ class TestDecodeCache:
         mgr.place_task("small")
         assert mgr.cache_stats is controller.decode_cache.stats
         assert mgr.cache_stats.misses == 1
+
+
+def _snapshot(config):
+    """Deep copy of a configuration's logic and closed-switch state."""
+    return (
+        {cell: bits.copy() for cell, bits in config.logic.items()},
+        {cell: set(sw) for cell, sw in config.closed.items()},
+    )
+
+
+class TestWriteValidation:
+    """A load that fails leaves the fabric configuration untouched, and
+    a restored cache entry can never write outside its claimed region."""
+
+    def test_failed_write_leaves_no_orphan_frames(self, controller):
+        import dataclasses
+
+        from repro.bitstream.config import FabricConfig
+        from repro.errors import BitstreamError
+
+        first = controller.load_task("small", (0, 0))
+        controller.unload_task("small")
+        # Something else is resident, so the snapshot is not trivially
+        # empty.
+        controller.load_task("small_raw", (0, 0))
+        key = DecodeCache.key_for(first.image)
+        entry = controller.decode_cache.peek(key)
+        poisoned = FabricConfig(entry.config.params, entry.config.region)
+        poisoned.logic = {c: b.copy() for c, b in entry.config.logic.items()}
+        poisoned.closed = {c: set(s) for c, s in entry.config.closed.items()}
+        # The last logic entry is one bit short: every earlier cell would
+        # be written before a per-cell check reached it.
+        last = list(poisoned.logic)[-1]
+        poisoned.logic[last] = BitArray(entry.config.params.nlb - 1)
+        controller.decode_cache.put(
+            key, dataclasses.replace(entry, config=poisoned)
+        )
+        logic_before, closed_before = _snapshot(controller.config)
+        with pytest.raises(BitstreamError):
+            controller.load_task("small", (first.region.w + 1, 0))
+        assert controller.config.logic == logic_before
+        assert controller.config.closed == closed_before
+        assert list(controller.resident) == ["small_raw"]
+
+    def test_restored_entry_cannot_write_outside_region(
+        self, controller, tmp_path
+    ):
+        from repro.vbs.decode import decode_vbs
+
+        task = controller.load_task("small", (0, 0))
+        controller.unload_task("small")
+        key = DecodeCache.key_for(task.image)
+        entry = controller.decode_cache.peek(key)
+        # A poisoned entry on disk: one logic cell just east of the task.
+        outside = (task.region.w + 1, 0)
+        entry.config.logic[outside] = BitArray(entry.config.params.nlb, 1)
+        staging = DecodeCache(capacity=4)
+        staging.put(key, entry)
+        staging.save(tmp_path)
+        controller.decode_cache.clear()
+        assert controller.decode_cache.load(
+            tmp_path, controller.fabric.params
+        ) == 0
+        assert controller.decode_cache.stats.restored == 0
+        loaded = controller.load_task("small", (0, 0))
+        assert outside not in controller.config.logic
+        expected, _stats = decode_vbs(loaded.image.bits)
+        assert controller.config.logic.keys() == expected.logic.keys()
+
+    def test_image_larger_than_declared_is_rejected(self, controller):
+        """The claim covers the image's declared size; a container that
+        decodes larger must fail before writing past the claim."""
+        image = controller.memory.image("small")
+        controller.memory.store(
+            "undersized", image.bits, "vbs", image.width - 1, image.height
+        )
+        with pytest.raises(RuntimeManagementError, match="decodes to"):
+            controller.load_task("undersized", (0, 0))
+        assert controller.config.logic == {}
+        assert controller.config.closed == {}
+        assert controller.resident == {}
+
+
+class TestArchitectureMismatch:
+    """A container encoded for a wider channel than the fabric's must not
+    load: its switch offsets index past the fabric's routing region."""
+
+    @pytest.fixture(scope="class")
+    def wide_vbs(self, tiny_netlist):
+        from repro.arch import ArchParams
+        from repro.bitstream import expand_routing
+        from repro.cad import run_flow
+
+        flow = run_flow(tiny_netlist, ArchParams(channel_width=20), seed=11)
+        config = expand_routing(
+            flow.design, flow.placement, flow.routing, flow.rrg
+        )
+        return encode_flow(flow, config, cluster_size=1)
+
+    def test_fresh_decode_is_rejected(self, params8, wide_vbs):
+        from repro.errors import VbsError
+
+        w, h = wide_vbs.layout.width, wide_vbs.layout.height
+        ctrl = _geometry_controller(params8, w + 3, h)
+        _store_blank_raw(ctrl, "neighbour", 3, h)
+        ctrl.load_task("neighbour", (w, 0))
+        ctrl.store_vbs("wide", wide_vbs)
+        logic_before, closed_before = _snapshot(ctrl.config)
+        with pytest.raises(VbsError):
+            ctrl.load_task("wide", (0, 0))
+        assert ctrl.config.logic == logic_before
+        assert ctrl.config.closed == closed_before
+        assert list(ctrl.resident) == ["neighbour"]
+
+    def test_cached_expansion_is_rejected(self, params8, wide_vbs):
+        """A decode cache shared with a W=20 fabric serves the W=20
+        expansion as a hit; the write refuses it before any mutation."""
+        from repro.errors import BitstreamError
+
+        w, h = wide_vbs.layout.width, wide_vbs.layout.height
+        wide = _geometry_controller(wide_vbs.layout.params, w, h)
+        wide.store_vbs("wide", wide_vbs)
+        wide.load_task("wide", (0, 0))
+        assert max(
+            max(switches) for switches in wide.config.closed.values()
+        ) >= params8.routing_bits
+        ctrl = _geometry_controller(
+            params8, w + 3, h, decode_cache=wide.decode_cache
+        )
+        _store_blank_raw(ctrl, "neighbour", 3, h)
+        ctrl.load_task("neighbour", (w, 0))
+        ctrl.store_vbs("wide", wide_vbs)
+        logic_before, closed_before = _snapshot(ctrl.config)
+        with pytest.raises(BitstreamError, match="not the fabric's"):
+            ctrl.load_task("wide", (0, 0))
+        assert ctrl.config.logic == logic_before
+        assert ctrl.config.closed == closed_before
+        assert list(ctrl.resident) == ["neighbour"]
+        assert wide.decode_cache.stats.hits == 1

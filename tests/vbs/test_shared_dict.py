@@ -300,6 +300,58 @@ class TestRuntimeLifecycle:
         assert not task.load_cost.cache_hit
         assert ctrl.decode_cache.stats.misses == 2
 
+    def test_republish_after_memoized_hit_invalidates(
+        self, dpath_flow, task_result
+    ):
+        """A validated hit memoizes the table digest per table object;
+        republishing the id stores a new tuple, so the next hit is
+        validated against the new table and misses."""
+        from repro.utils.bitarray import BitArray
+
+        mgr = self._manager(dpath_flow, task_result)
+        ctrl = mgr.controller
+        for _ in range(2):  # miss, then a validated (memoized) hit
+            mgr.place_task("t0")
+            ctrl.unload_task("t0")
+        assert ctrl.decode_cache.stats.hits == 1
+        mutated = tuple(
+            BitArray.from_bits([1 - b for b in p])
+            for p in task_result.table
+        )
+        ctrl.memory.store_shared_dict(7, mutated)
+        task = mgr.place_task("t0")
+        assert not task.load_cost.cache_hit
+        assert ctrl.decode_cache.stats.misses == 2
+        ctrl.unload_task("t0")
+        assert mgr.place_task("t0").load_cost.cache_hit
+
+    def test_failed_write_releases_the_table(self, dpath_flow, task_result):
+        """A load whose configuration write raises leaves neither frames
+        nor a table reference behind."""
+        import dataclasses
+
+        from repro.bitstream.config import FabricConfig
+        from repro.errors import BitstreamError
+        from repro.runtime import DecodeCache
+        from repro.utils.bitarray import BitArray
+
+        mgr = self._manager(dpath_flow, task_result)
+        ctrl = mgr.controller
+        mgr.place_task("t0")
+        ctrl.unload_task("t0")
+        key = DecodeCache.key_for(ctrl.memory.image("t0"))
+        entry = ctrl.decode_cache.peek(key)
+        poisoned = FabricConfig(entry.config.params, entry.config.region)
+        poisoned.logic = dict(entry.config.logic)
+        last = list(poisoned.logic)[-1]
+        poisoned.logic[last] = BitArray(entry.config.params.nlb + 1)
+        ctrl.decode_cache.put(key, dataclasses.replace(entry, config=poisoned))
+        with pytest.raises(BitstreamError):
+            ctrl.load_task("t0", (0, 0))
+        assert ctrl.shared_dicts == {} and mgr.shared_dict_ids == []
+        assert ctrl.config.logic == {} and ctrl.config.closed == {}
+        assert ctrl.resident == {}
+
     def test_republish_while_resident_fails_loudly(
         self, dpath_flow, task_result
     ):
